@@ -79,11 +79,12 @@ if [[ -z "$speedup" ]] || awk -v s="$speedup" 'BEGIN { exit !(s < 0.90) }'; then
     exit 1
 fi
 
-# Shared-catalog race smoke: the catalog's concurrent adopt/install
-# paths across 4 campaign workers (plus the SMC and reload variants)
-# under the detector.
-echo "==> shared-catalog smoke (-race)"
-go test -race -run 'TestDifferentialEngines|TestCatalog' \
+# Shared-catalog and fork-point race smoke: the catalog's concurrent
+# adopt/install paths across 4 campaign workers (plus the SMC and
+# reload variants), and the fork-equivalence test's 4 workers sharing
+# one campaign's read-only clean-run checkpoints, under the detector.
+echo "==> shared-catalog and fork-point smoke (-race)"
+go test -race -run 'TestDifferentialEngines|TestCatalog|TestForkEquivalence|TestForkPointBoundary' \
     ./internal/campaign ./internal/emu/tb
 
 # Corpus-at-scale smoke: a trimmed generated-family sweep (8 programs,

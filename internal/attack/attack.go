@@ -165,8 +165,9 @@ type RunConfig struct {
 	// (0 = emulator default).
 	CheckStride uint64
 	// Obs, when non-nil, accumulates run metrics into the shared
-	// registry: emu.runs, emu.insts, emu.watchdog_trips,
-	// emu.inst_limit_trips, emu.load_failures and emu.faults.
+	// registry: emu.runs, emu.insts (instructions this run executed),
+	// emu.watchdog_trips, emu.inst_limit_trips, emu.load_failures and
+	// emu.faults.
 	Obs *obs.Registry
 	// Trace attaches an execution trace sink to the run's CPU;
 	// TraceEvery is the instruction-event sampling stride (see
@@ -179,6 +180,12 @@ type RunConfig struct {
 	// between runs); RunWith still installs a fresh kernel and applies
 	// the budgets above on every call. The image argument is ignored.
 	CPU *emu.CPU
+	// From, when non-nil, is the checkpoint the reused CPU was
+	// fast-forwarded to (emu.CPU.Resume): the fresh kernel resumes from
+	// the checkpoint's state too — output so far, stdin consumed — and
+	// the run continues from there. Only the instructions executed from
+	// the checkpoint on count in emu.insts.
+	From *emu.Checkpoint
 	// Engine selects the execution backend: "" or "interp" is the
 	// interpreter, "tb" the translation-block engine (internal/emu/tb).
 	// Any other value fails the run.
@@ -245,6 +252,12 @@ func RunWith(ctx context.Context, img *image.Image, cfg RunConfig) RunResult {
 	os := emu.NewOS(cfg.Stdin)
 	os.Stdin = cfg.Chaos.ReaderN(chaos.PointStdinRead, cfg.ChaosKey, os.Stdin, int64(len(cfg.Stdin)))
 	os.DebuggerAttached = cfg.DebuggerAttached
+	if cfg.From != nil {
+		if err := os.Resume(cfg.From); err != nil {
+			cfg.Obs.Counter("emu.load_failures").Inc()
+			return RunResult{Err: err}
+		}
+	}
 	cpu.OS = os
 	run := cpu.RunContext
 	switch {
@@ -258,8 +271,9 @@ func RunWith(ctx context.Context, img *image.Image, cfg RunConfig) RunResult {
 		cfg.Obs.Counter("emu.load_failures").Inc()
 		return RunResult{Err: fmt.Errorf("attack: unknown engine %q (want interp or tb)", cfg.Engine)}
 	}
+	start := cpu.Icount
 	err := run(ctx)
-	recordRun(cfg.Obs, cpu, err)
+	recordRun(cfg.Obs, cpu.Icount-start, err)
 	return RunResult{
 		Status: cpu.Status,
 		Stdout: os.Stdout.String(),
@@ -269,15 +283,15 @@ func RunWith(ctx context.Context, img *image.Image, cfg RunConfig) RunResult {
 	}
 }
 
-// recordRun accumulates one finished emulator run into the registry.
-// The per-run cost is a handful of map lookups; nothing here runs per
-// instruction.
-func recordRun(reg *obs.Registry, cpu *emu.CPU, err error) {
+// recordRun accumulates one finished emulator run, which executed
+// insts instructions, into the registry. The per-run cost is a handful
+// of map lookups; nothing here runs per instruction.
+func recordRun(reg *obs.Registry, insts uint64, err error) {
 	if reg == nil {
 		return
 	}
 	reg.Counter("emu.runs").Inc()
-	reg.Counter("emu.insts").Add(cpu.Icount)
+	reg.Counter("emu.insts").Add(insts)
 	var de *emu.DeadlineError
 	switch {
 	case err == nil:

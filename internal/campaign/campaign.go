@@ -16,6 +16,19 @@
 // are counted separately — a corruption the toolchain refuses to load
 // never reaches execution.
 //
+// A campaign runs in three phases, each an obs stage: enumerate the
+// mutants (campaign.enumerate); run the clean image once
+// (campaign.clean), recording where each mutated byte is first read,
+// written or fetched and checkpointing the run along the way; execute
+// the mutants (campaign.execute). Each worker loads the image once and
+// rewinds it between mutants; a mutant then starts from the latest
+// clean-run checkpoint taken before its bytes were first touched —
+// until that touch its run is the clean run, instruction for
+// instruction — and a mutant whose bytes the clean run never touches
+// is silent without running. emu.insts counts only the instructions
+// executed; campaign.fork_skipped_insts counts the clean-run prefixes
+// the forks did not repeat.
+//
 // The engine is hardened for hostile inputs by construction: every
 // mutant runs under a context deadline and instruction budget, panics
 // in the harness are confined and counted, and the campaign is
@@ -60,13 +73,14 @@ type Config struct {
 	Kinds []Kind
 	// Stdin is the workload fed to every run, clean and mutated.
 	Stdin []byte
-	// Reload forces the legacy execution path: a full image clone +
-	// emulator load per mutant. The zero value uses the snapshot/restore
-	// engine — each worker loads the image once and rewinds dirty pages
-	// between mutants — which is behaviorally identical (see the
-	// differential tests) and allocation-free per mutant; the wall-clock
-	// win scales with image size relative to workload length (see
-	// EXPERIMENTS.md). KindSerial mutants always take the loader path
+	// Reload forces the test-side oracle path: a full image clone +
+	// emulator load per mutant, every mutant run from the image entry.
+	// The zero value uses the snapshot/restore engine — each worker
+	// loads the image once, rewinds dirty pages between mutants and
+	// starts each mutant at its clean-run fork point — which is
+	// behaviorally identical (see the differential and fork-equivalence
+	// tests) and executes only what the clean run did not already
+	// decide. KindSerial mutants always take the loader path
 	// regardless.
 	Reload bool
 	// MemBudget / StackSize bound each mutant's emulator (0 =
@@ -83,14 +97,19 @@ type Config struct {
 	// Obs, when non-nil, accumulates campaign activity into a shared
 	// metrics registry: per-class outcome counters
 	// (campaign.outcome.<class>), campaign.mutants, campaign.panics,
-	// and — via attack.RunWith — the emu.* run counters for every
-	// mutant execution. Nil disables recording entirely.
+	// the fork counters (campaign.fork_skipped_insts,
+	// campaign.untouched_mutants, campaign.checkpoints), the three
+	// phase stages, and — via attack.RunWith — the emu.* run counters
+	// for the clean run and every mutant execution. Nil disables
+	// recording entirely.
 	Obs *obs.Registry
 	// Chaos, when non-nil, arms fault injection on mutant execution
 	// (never the clean reference run): worker crashes, blown deadlines,
 	// restore corruption, load failures, truncated serialized reads.
 	// Faulted cells classify as ClassInfraError and the matrix still
-	// completes; see the package fault model in internal/chaos.
+	// completes; see the package fault model in internal/chaos. With
+	// chaos armed every mutant runs from the image entry, so the
+	// injection points fire exactly where they always did.
 	Chaos *chaos.Injector
 	// Checkpoint, when non-empty, is the path of the append-only resume
 	// journal: every finished mutant outcome is recorded there, and a
@@ -179,17 +198,15 @@ func Run(ctx context.Context, prot *core.Protected, cfg Config) (*Report, error)
 		return nil, fmt.Errorf("campaign: nil protected image")
 	}
 
-	// Reference run: the clean image's observable behavior.
-	clean := attack.RunWith(ctx, prot.Image, attack.RunConfig{
-		Stdin: cfg.Stdin, MaxInst: cfg.MaxInst,
-		MemBudget: cfg.MemBudget, StackSize: cfg.StackSize,
-		Obs: cfg.Obs, Engine: cfg.Engine, Catalog: cfg.cat,
-	})
-	if clean.Err != nil {
-		return nil, fmt.Errorf("campaign: clean reference run failed: %w", clean.Err)
+	// Enumerate first: the mutated bytes are what the clean run watches.
+	var mutants []Mutant
+	var err error
+	cfg.Obs.Stage("campaign.enumerate", func() { mutants, err = Enumerate(prot, cfg) })
+	if err != nil {
+		return nil, err
 	}
-
-	mutants, err := Enumerate(prot, cfg)
+	var ref *reference
+	cfg.Obs.Stage("campaign.clean", func() { ref, err = cleanRun(ctx, prot, mutants, cfg) })
 	if err != nil {
 		return nil, err
 	}
@@ -206,7 +223,11 @@ func Run(ctx context.Context, prot *core.Protected, cfg Config) (*Report, error)
 		}
 		defer jn.close()
 	}
-	classes, panics, err := executeAll(ctx, prot, mutants, clean, cfg, jn, done)
+	var classes []Class
+	var panics int
+	cfg.Obs.Stage("campaign.execute", func() {
+		classes, panics, err = executeAll(ctx, prot, mutants, ref, cfg, jn, done)
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -221,11 +242,127 @@ func Run(ctx context.Context, prot *core.Protected, cfg Config) (*Report, error)
 	return rep, nil
 }
 
+// reference is a campaign's clean run: the behaviour every mutant is
+// classified against and, on the snapshot/restore path, the point each
+// mutant's run starts from.
+type reference struct {
+	clean attack.RunResult
+	// forks is the fork plan recorded along the clean run, one entry
+	// per mutant; nil when every mutant runs from the image entry.
+	forks []fork
+	// checkpoints counts the clean-run checkpoints the plan keeps.
+	checkpoints int
+}
+
+// fork is where one mutant's run starts.
+type fork struct {
+	// from is the latest clean-run checkpoint taken before the mutated
+	// bytes were first touched; nil is the image entry.
+	from *emu.Checkpoint
+	// untouched marks a mutant whose bytes the clean run never read,
+	// wrote or fetched: its run would be the clean run, so it is silent
+	// without running.
+	untouched bool
+}
+
+// cleanRun runs the clean image once. On the snapshot/restore path it
+// records the run (emu.CPU.Record): every in-memory mutant's bytes are
+// watched for their first touch, and checkpoints taken along the way
+// become the fork plan. The recording depends only on the image,
+// stdin, mutant set and budget — never on catalog warmth or worker
+// count. The clone+reload oracle (cfg.Reload) runs every mutant from
+// the entry, and so does a campaign with chaos armed: its per-poll
+// budget faults and stdin faults are keyed to runs from the entry.
+func cleanRun(ctx context.Context, prot *core.Protected, mutants []Mutant, cfg Config) (*reference, error) {
+	runCfg := attack.RunConfig{
+		Stdin: cfg.Stdin, MaxInst: cfg.MaxInst,
+		MemBudget: cfg.MemBudget, StackSize: cfg.StackSize,
+		Obs: cfg.Obs, Engine: cfg.Engine, Catalog: cfg.cat,
+	}
+	var rec *emu.Recording
+	if !cfg.Reload && cfg.Chaos == nil {
+		// A load failure leaves rec nil: RunWith loads again and
+		// reports it.
+		if cpu, err := emu.LoadImageWith(prot.Image, emu.LoadConfig{
+			StackSize: cfg.StackSize, MemBudget: cfg.MemBudget,
+		}); err == nil {
+			rec = cpu.Record(cpu.Snapshot(), watchedBytes(mutants))
+			defer rec.Stop()
+			runCfg.CPU = cpu
+		}
+	}
+	ref := &reference{clean: attack.RunWith(ctx, prot.Image, runCfg)}
+	if ref.clean.Err != nil {
+		return nil, fmt.Errorf("campaign: clean reference run failed: %w", ref.clean.Err)
+	}
+	if rec == nil {
+		return ref, nil
+	}
+	ref.forks = make([]fork, len(mutants))
+	for i, m := range mutants {
+		if m.Kind == KindSerial {
+			continue
+		}
+		cp, touched := rec.ForkPoint(m.Addr, uint32(m.Len))
+		ref.forks[i] = fork{from: cp, untouched: !touched}
+	}
+	ref.checkpoints = rec.Kept()
+	return ref, nil
+}
+
+// watchedBytes lists every byte an in-memory mutant changes.
+func watchedBytes(mutants []Mutant) []uint32 {
+	var out []uint32
+	for _, m := range mutants {
+		if m.Kind == KindSerial {
+			continue
+		}
+		for i := 0; i < m.Len; i++ {
+			out = append(out, m.Addr+uint32(i))
+		}
+	}
+	return out
+}
+
+// runner is one campaign's execution state, shared by its workers.
+type runner struct {
+	base   *image.Image
+	stream []byte // the serialized image, when KindSerial mutants exist
+	guard  map[uint32]bool
+	ref    *reference
+	cfg    Config
+
+	panics    atomic.Uint64
+	skipped   atomic.Uint64 // clean-run instructions forks did not re-execute
+	untouched atomic.Uint64
+
+	// results, when non-nil, receives every executed mutant's run result
+	// (the clean run's for an untouched mutant), so tests can compare
+	// execution paths run by run.
+	results []attack.RunResult
+}
+
+// newRunner prepares a campaign's shared execution state.
+func newRunner(prot *core.Protected, mutants []Mutant, ref *reference, cfg Config) (*runner, error) {
+	r := &runner{base: prot.Image, guard: guardedBytes(prot), ref: ref, cfg: cfg}
+	for _, m := range mutants {
+		if m.Kind == KindSerial {
+			var buf bytes.Buffer
+			if _, err := prot.Image.WriteTo(&buf); err != nil {
+				return nil, fmt.Errorf("campaign: serializing image: %w", err)
+			}
+			r.stream = buf.Bytes()
+			break
+		}
+	}
+	return r, nil
+}
+
 // executeAll runs every mutant through the worker pool and returns the
 // per-mutant classification vector plus the recovered-panic count. It
 // is the campaign's execution core, split out so differential tests can
-// compare the two execution paths mutant by mutant. cfg must already
-// have defaults applied.
+// compare the execution paths mutant by mutant. cfg must already have
+// defaults applied, and ref must come from cleanRun under the same cfg.
 //
 // jn and done (both optional) carry the checkpoint state: cells in
 // done are restored without executing, and every freshly finished cell
@@ -233,25 +370,21 @@ func Run(ctx context.Context, prot *core.Protected, cfg Config) (*Report, error)
 // transient, and cells finished after the campaign context was
 // cancelled, whose outcome may be cancellation-tainted.
 func executeAll(ctx context.Context, prot *core.Protected, mutants []Mutant,
-	clean attack.RunResult, cfg Config, jn *journal, done map[int]Class) ([]Class, int, error) {
-	var stream []byte
-	for _, m := range mutants {
-		if m.Kind == KindSerial {
-			var buf bytes.Buffer
-			if _, err := prot.Image.WriteTo(&buf); err != nil {
-				return nil, 0, fmt.Errorf("campaign: serializing image: %w", err)
-			}
-			stream = buf.Bytes()
-			break
-		}
+	ref *reference, cfg Config, jn *journal, done map[int]Class) ([]Class, int, error) {
+	r, err := newRunner(prot, mutants, ref, cfg)
+	if err != nil {
+		return nil, 0, err
 	}
-	guard := guardedBytes(prot)
+	return r.execute(ctx, mutants, jn, done)
+}
 
+// execute is executeAll's worker pool.
+func (r *runner) execute(ctx context.Context, mutants []Mutant, jn *journal, done map[int]Class) ([]Class, int, error) {
+	cfg := r.cfg
 	classes := make([]Class, len(mutants))
 	for i, c := range done {
 		classes[i] = c
 	}
-	var panics uint64
 	var ckErrs uint64
 	var wg sync.WaitGroup
 	next := make(chan int)
@@ -264,16 +397,16 @@ func executeAll(ctx context.Context, prot *core.Protected, mutants []Mutant,
 			// where the same failure surfaces per mutant.
 			var eng *vmEngine
 			if !cfg.Reload {
-				eng = newVMEngine(prot.Image, cfg)
+				eng = newVMEngine(r.base, cfg)
 			}
 			for i := range next {
-				classes[i] = runOne(ctx, prot.Image, stream, guard, i, mutants[i], clean, cfg, eng, &panics)
+				classes[i] = r.runOne(ctx, i, mutants[i], eng)
 				if eng != nil && eng.poisoned {
 					// Injected restore corruption: the VM's state is no
 					// longer trustworthy. Rebuild it; until then (or on
 					// rebuild failure) mutants take the clone path.
 					eng.close()
-					eng = newVMEngine(prot.Image, cfg)
+					eng = newVMEngine(r.base, cfg)
 				}
 				if jn != nil && classes[i] != ClassInfraError && ctx.Err() == nil {
 					// A failed append degrades the checkpoint (those cells
@@ -298,13 +431,18 @@ feed:
 	}
 	close(next)
 	wg.Wait()
-	if n := atomic.LoadUint64(&ckErrs); n > 0 && cfg.Obs != nil {
-		cfg.Obs.Counter("campaign.checkpoint_errors").Add(n)
+	if reg := cfg.Obs; reg != nil {
+		if n := atomic.LoadUint64(&ckErrs); n > 0 {
+			reg.Counter("campaign.checkpoint_errors").Add(n)
+		}
+		reg.Counter("campaign.fork_skipped_insts").Add(r.skipped.Load())
+		reg.Counter("campaign.untouched_mutants").Add(r.untouched.Load())
+		reg.Counter("campaign.checkpoints").Add(uint64(r.ref.checkpoints))
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, 0, fmt.Errorf("campaign: cancelled: %w", err)
 	}
-	return classes, int(atomic.LoadUint64(&panics)), nil
+	return classes, int(r.panics.Load()), nil
 }
 
 // vmEngine is one worker's reusable execution engine: the protected
@@ -381,24 +519,23 @@ func recordOutcomes(reg *obs.Registry, rep *Report, classes []Class) {
 // runOne executes and classifies a single mutant. It never panics:
 // any harness panic is recovered, counted, and classified as a crash.
 // Non-serial mutants run on the worker's vmEngine when one is
-// available (restore dirty pages, poke the mutation, run); KindSerial
-// mutants always exercise the loader, and a nil engine falls back to
-// clone+reload.
-func runOne(ctx context.Context, base *image.Image, stream []byte,
-	guard map[uint32]bool, idx int, m Mutant, clean attack.RunResult,
-	cfg Config, eng *vmEngine, panics *uint64) (cls Class) {
+// available (restore dirty pages, fast-forward to the mutant's fork
+// point, poke the mutation, run); KindSerial mutants always exercise
+// the loader, and a nil engine falls back to clone+reload.
+func (r *runner) runOne(ctx context.Context, idx int, m Mutant, eng *vmEngine) (cls Class) {
 	defer func() {
-		if r := recover(); r != nil {
-			if e, ok := r.(error); ok && chaos.IsInjected(e) {
+		if rec := recover(); rec != nil {
+			if e, ok := rec.(error); ok && chaos.IsInjected(e) {
 				// Injected worker crash: infrastructure, not a harness
 				// bug — the cell is lost, the panic tally stays honest.
 				cls = ClassInfraError
 				return
 			}
-			atomic.AddUint64(panics, 1)
+			r.panics.Add(1)
 			cls = ClassCrash
 		}
 	}()
+	cfg, base := r.cfg, r.base
 	inj := cfg.Chaos
 	if err := inj.Fire(chaos.PointCampaignMutant, uint64(idx)); err != nil {
 		panic(err)
@@ -423,7 +560,7 @@ func runOne(ctx context.Context, base *image.Image, stream []byte,
 	switch {
 	case m.Kind == KindSerial:
 		loaded, err := image.ReadFrom(
-			inj.Reader(chaos.PointImageRead, uint64(idx), bytes.NewReader(m.corruptSerial(stream))))
+			inj.Reader(chaos.PointImageRead, uint64(idx), bytes.NewReader(m.corruptSerial(r.stream))))
 		if err != nil {
 			if chaos.IsInjected(err) {
 				// The read was truncated by injection, not by the mutant:
@@ -434,6 +571,19 @@ func runOne(ctx context.Context, base *image.Image, stream []byte,
 		}
 		img = loaded
 	case eng != nil:
+		var f fork
+		if r.ref.forks != nil {
+			f = r.ref.forks[idx]
+		}
+		if f.untouched {
+			if _, err := m.patch(base); err != nil {
+				return ClassLoaderReject
+			}
+			r.untouched.Add(1)
+			r.skipped.Add(r.ref.clean.Icount)
+			r.record(idx, r.ref.clean)
+			return ClassSilent
+		}
 		st := eng.cpu.Restore(eng.snap)
 		if reg := cfg.Obs; reg != nil {
 			reg.Counter("emu.restores").Inc()
@@ -449,6 +599,15 @@ func runOne(ctx context.Context, base *image.Image, stream []byte,
 			eng.poisoned = true
 			return ClassInfraError
 		}
+		if f.from != nil {
+			if err := eng.cpu.Resume(f.from); err != nil {
+				return ClassInfraError
+			}
+			runCfg.From = f.from
+			r.skipped.Add(f.from.Icount)
+		}
+		// Patch after the fast-forward: the checkpoint's pages hold the
+		// mutated bytes' clean values.
 		if err := m.applyVM(base, eng.cpu); err != nil {
 			// Unpatchable site: same rejection the clone path's
 			// image.WriteAt would produce, before execution.
@@ -461,10 +620,11 @@ func runOne(ctx context.Context, base *image.Image, stream []byte,
 			runCfg.Exec = eng.tbe
 		}
 		res := attack.RunWith(mctx, base, runCfg)
+		r.record(idx, res)
 		if blownDeadline {
 			return ClassInfraError
 		}
-		return classify(m, res, clean, guard)
+		return classify(m, res, r.ref.clean, r.guard)
 	default:
 		img = base.Clone()
 		if err := m.apply(img); err != nil {
@@ -477,10 +637,18 @@ func runOne(ctx context.Context, base *image.Image, stream []byte,
 	mctx, cancel := context.WithTimeout(ctx, timeout)
 	defer cancel()
 	res := attack.RunWith(mctx, img, runCfg)
+	r.record(idx, res)
 	if blownDeadline {
 		return ClassInfraError
 	}
-	return classify(m, res, clean, guard)
+	return classify(m, res, r.ref.clean, r.guard)
+}
+
+// record keeps mutant idx's run result when results are collected.
+func (r *runner) record(idx int, res attack.RunResult) {
+	if r.results != nil {
+		r.results[idx] = res
+	}
 }
 
 // classify maps one mutant run outcome onto the matrix classes.

@@ -9,7 +9,6 @@ import (
 	"testing"
 	"time"
 
-	"parallax/internal/attack"
 	"parallax/internal/chaos"
 	"parallax/internal/obs"
 )
@@ -45,18 +44,13 @@ func TestChaosCampaignGraceful(t *testing.T) {
 		MaxInst: 6_000_000, Timeout: 60 * time.Second, Stdin: stdin,
 	}.withDefaults()
 
-	clean := attack.RunWith(context.Background(), prot.Image, attack.RunConfig{
-		Stdin: cfg.Stdin, MaxInst: cfg.MaxInst,
-	})
-	if clean.Err != nil {
-		t.Fatalf("clean run: %v", clean.Err)
-	}
 	mutants, err := Enumerate(prot, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	base, panics, err := executeAll(context.Background(), prot, mutants, clean, cfg, nil, nil)
+	base, panics, err := executeAll(context.Background(), prot, mutants,
+		cleanReference(t, prot, mutants, cfg), cfg, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +62,8 @@ func TestChaosCampaignGraceful(t *testing.T) {
 	chaosCfg := cfg
 	chaosCfg.Obs = reg
 	chaosCfg.Chaos = chaos.New(chaosPlan(1234), reg)
-	faulted, panics, err := executeAll(context.Background(), prot, mutants, clean, chaosCfg, nil, nil)
+	faulted, panics, err := executeAll(context.Background(), prot, mutants,
+		cleanReference(t, prot, mutants, chaosCfg), chaosCfg, nil, nil)
 	if err != nil {
 		t.Fatalf("faulted campaign did not complete: %v", err)
 	}

@@ -7,7 +7,6 @@ import (
 	"testing"
 	"time"
 
-	"parallax/internal/attack"
 	"parallax/internal/core"
 	"parallax/internal/corpus"
 )
@@ -26,23 +25,27 @@ func diffConfig(workers int, maxInst uint64, maxMutants int) Config {
 	}
 }
 
+// cleanReference is cleanRun for tests; cfg must have defaults applied.
+func cleanReference(t *testing.T, prot *core.Protected, mutants []Mutant, cfg Config) *reference {
+	t.Helper()
+	ref, err := cleanRun(context.Background(), prot, mutants, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ref
+}
+
 // assertSameClasses runs the same mutant set through the clone+reload
-// path and the snapshot/restore path and requires byte-identical
-// per-mutant classification vectors.
+// path and the snapshot/restore path (which starts each mutant at its
+// fork point) and requires byte-identical per-mutant classification
+// vectors.
 func assertSameClasses(t *testing.T, prot *core.Protected, mutants []Mutant, cfg Config) {
 	t.Helper()
 	cfg = cfg.withDefaults()
-	clean := attack.RunWith(context.Background(), prot.Image, attack.RunConfig{
-		Stdin: cfg.Stdin, MaxInst: cfg.MaxInst,
-		MemBudget: cfg.MemBudget, StackSize: cfg.StackSize,
-	})
-	if clean.Err != nil {
-		t.Fatalf("clean run: %v", clean.Err)
-	}
-
 	reloadCfg := cfg
 	reloadCfg.Reload = true
-	reload, panics, err := executeAll(context.Background(), prot, mutants, clean, reloadCfg, nil, nil)
+	reload, panics, err := executeAll(context.Background(), prot, mutants,
+		cleanReference(t, prot, mutants, reloadCfg), reloadCfg, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +54,8 @@ func assertSameClasses(t *testing.T, prot *core.Protected, mutants []Mutant, cfg
 	}
 	snapCfg := cfg
 	snapCfg.Reload = false
-	snap, panics, err := executeAll(context.Background(), prot, mutants, clean, snapCfg, nil, nil)
+	snap, panics, err := executeAll(context.Background(), prot, mutants,
+		cleanReference(t, prot, mutants, snapCfg), snapCfg, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

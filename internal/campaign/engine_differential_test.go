@@ -5,7 +5,6 @@ import (
 	"testing"
 	"time"
 
-	"parallax/internal/attack"
 	"parallax/internal/core"
 	"parallax/internal/dyngen"
 	"parallax/internal/obs"
@@ -26,15 +25,8 @@ func engineClasses(t *testing.T, prot *core.Protected, mutants []Mutant,
 	if private {
 		cfg.cat = nil
 	}
-	clean := attack.RunWith(context.Background(), prot.Image, attack.RunConfig{
-		Stdin: cfg.Stdin, MaxInst: cfg.MaxInst,
-		MemBudget: cfg.MemBudget, StackSize: cfg.StackSize,
-		Obs: cfg.Obs, Engine: cfg.Engine, Catalog: cfg.cat,
-	})
-	if clean.Err != nil {
-		t.Fatalf("clean run (%s): %v", engine, clean.Err)
-	}
-	classes, panics, err := executeAll(context.Background(), prot, mutants, clean, cfg, nil, nil)
+	classes, panics, err := executeAll(context.Background(), prot, mutants,
+		cleanReference(t, prot, mutants, cfg), cfg, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -103,20 +103,19 @@ func (m Mutant) apply(img *image.Image) error {
 	return fmt.Errorf("campaign: cannot apply %v in memory", m.Kind)
 }
 
-// applyVM patches one mutant into a live emulator that has been
-// rewound to the base image, mirroring apply()'s semantics exactly.
-// Patch bytes are validated against the base image's initialized-data
-// bounds first — the emulator maps sections at their full Size
-// (including BSS), so without the check a mutant the clone path's
-// WriteAt rejects would silently succeed here and the two paths would
-// classify it differently.
-func (m Mutant) applyVM(base *image.Image, c *emu.CPU) error {
+// patch returns the bytes m writes over the base image, mirroring
+// apply()'s semantics exactly. They are validated against the base
+// image's initialized-data bounds — the emulator maps sections at
+// their full Size (including BSS), so without the check a mutant the
+// clone path's WriteAt rejects would silently succeed on a live
+// emulator and the two paths would classify it differently.
+func (m Mutant) patch(base *image.Image) ([]byte, error) {
 	var patch []byte
 	switch m.Kind {
 	case KindBitFlip:
 		raw, err := base.ReadAt(m.Addr, 1)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		patch = []byte{raw[0] ^ (1 << m.Bit)}
 	case KindByteSet:
@@ -127,9 +126,20 @@ func (m Mutant) applyVM(base *image.Image, c *emu.CPU) error {
 			patch[i] = 0x90
 		}
 	default:
-		return fmt.Errorf("campaign: cannot apply %v in memory", m.Kind)
+		return nil, fmt.Errorf("campaign: cannot apply %v in memory", m.Kind)
 	}
 	if err := writableAt(base, m.Addr, uint32(len(patch))); err != nil {
+		return nil, err
+	}
+	return patch, nil
+}
+
+// applyVM patches one mutant into a live emulator that has been
+// rewound to the base image (and possibly fast-forwarded to a clean-run
+// checkpoint).
+func (m Mutant) applyVM(base *image.Image, c *emu.CPU) error {
+	patch, err := m.patch(base)
+	if err != nil {
 		return err
 	}
 	return c.Patch(m.Addr, patch)

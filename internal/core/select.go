@@ -69,21 +69,16 @@ const SelectThreshold = 0.02
 // ProfileModule builds the module, runs it under the emulator with
 // per-address profiling, and aggregates per-function statistics.
 func ProfileModule(m *ir.Module, workload []byte) (*ProfileReport, error) {
-	return ProfileModuleEngine(m, workload, "")
+	return profileModule(m, workload, "", nil)
 }
 
-// ProfileModuleEngine is ProfileModule with an explicit execution
-// backend: "" or "interp" run the interpreter, "tb" the
-// translation-block engine (internal/emu/tb), which replicates the
-// interpreter's per-address hit counting so the resulting profile is
-// identical — only the wall-clock differs.
-func ProfileModuleEngine(m *ir.Module, workload []byte, engine string) (*ProfileReport, error) {
-	return profileModule(m, workload, engine, nil)
-}
-
-// profileModule is ProfileModuleEngine with an optional shared
-// translation catalog for the tb backend: a farm profiling the same
-// module bytes across jobs pays the decode+compile cost once.
+// profileModule is ProfileModule with an explicit execution backend:
+// "" or "interp" run the interpreter, "tb" the translation-block engine
+// (internal/emu/tb), which replicates the interpreter's per-address hit
+// counting so the resulting profile is identical — only the wall-clock
+// differs. cat optionally shares a translation catalog for the tb
+// backend: a farm profiling the same module bytes across jobs pays the
+// decode+compile cost once.
 func profileModule(m *ir.Module, workload []byte, engine string, cat *tb.Catalog) (*ProfileReport, error) {
 	img, err := codegen.Build(m, image.Layout{})
 	if err != nil {

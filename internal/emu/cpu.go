@@ -114,6 +114,9 @@ type CPU struct {
 
 	// Optional per-address execution profile (instruction hit counts).
 	profile map[uint32]uint64
+
+	// rec is the armed fork-point recording (see Record), or nil.
+	rec *Recording
 }
 
 // DefaultMaxInst bounds runaway programs.
@@ -236,6 +239,10 @@ func (c *CPU) decode() (x86.Inst, error) {
 	if err != nil {
 		return x86.Inst{}, err
 	}
+	// A fetch touches exactly the instruction's bytes, the same span a
+	// translation block reports: the tail of the fetch window cannot
+	// change what decodes here.
+	c.Mem.Touch(c.EIP, uint32(inst.Len))
 	c.decodeCache[c.EIP] = inst
 	return inst, nil
 }

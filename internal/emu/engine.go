@@ -59,18 +59,17 @@ func (c *CPU) ProfileHit(addr uint32) {
 	}
 }
 
-// Tracked reports whether Snapshot's dirty-page bitmap is armed on
-// this segment. An engine writing segment bytes directly (after its
-// own bounds and permission checks) must consult it on every store —
-// a Snapshot can arm tracking at any point between stores — and call
-// MarkDirty when it reports true. Stores into executable segments
-// must go through Memory.Store32 instead so code-invalidation hooks
-// fire.
-func (s *Segment) Tracked() bool { return s.dirty != nil }
-
-// MarkDirty records a direct engine write to [off, off+n) in the
-// dirty-page bitmap, exactly as a store through the bus would.
-func (s *Segment) MarkDirty(off, n uint32) { s.markDirty(off, n) }
+// Wrote records a direct engine write to segment bytes [off, off+n)
+// exactly as a store through the bus would: in Snapshot's dirty-page
+// bitmap and in a recorded run's first-touch watch. An engine writing
+// segment bytes directly (after its own bounds and permission checks)
+// must call it on every store — a Snapshot can arm tracking at any
+// point between stores. Stores into executable segments must go
+// through Memory.Store32 instead so code-invalidation hooks fire.
+func (s *Segment) Wrote(off, n uint32) {
+	s.markDirty(off, n)
+	s.Touch(off, n)
+}
 
 // ExitTo implements the exit-sentinel convention for engines: if
 // target is ExitSentinel the run ends cleanly with EAX as the status

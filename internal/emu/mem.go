@@ -69,6 +69,11 @@ type Segment struct {
 	// armed by CPU.Snapshot and consumed by CPU.Restore. Nil when no
 	// snapshot is active, so untracked stores cost one nil check.
 	dirty []uint64
+
+	// watch is the first-touch watch of a recorded run (see
+	// checkpoint.go). Nil when off, or once every watched byte of the
+	// segment has been touched.
+	watch *byteWatch
 }
 
 // End returns the first address past the segment.
@@ -108,13 +113,6 @@ type Memory struct {
 	// it makes Map fail with a *MemBudgetError.
 	Budget uint64
 	mapped uint64
-
-	// codeEpoch counts modifications of executable bytes: any store or
-	// Poke that lands in a PermX segment bumps it. It is kept as a cheap
-	// coherence probe (CodeEpoch), but consumers that cache decoded or
-	// translated code register an OnCodeInvalidate hook instead and
-	// receive the exact modified range.
-	codeEpoch uint64
 
 	// onInval is the code-invalidation bus: every mutation of executable
 	// bytes — stores, Poke, CPU.Patch, Restore copying baseline pages
@@ -163,18 +161,13 @@ func (m *Memory) OnCodeInvalidate(fn func(lo, hi uint32)) (cancel func()) {
 	}
 }
 
-// notifyCodeInvalidate advances the code epoch and fans the modified
-// range out to every registered hook.
+// notifyCodeInvalidate fans the modified range out to every
+// registered hook.
 func (m *Memory) notifyCodeInvalidate(lo, hi uint32) {
-	m.codeEpoch++
 	for i := range m.onInval {
 		m.onInval[i].fn(lo, hi)
 	}
 }
-
-// CodeEpoch returns the executable-byte modification counter. Decode
-// caches built against one epoch must be discarded when it advances.
-func (m *Memory) CodeEpoch() uint64 { return m.codeEpoch }
 
 // NewMemory returns an empty address space.
 func NewMemory() *Memory { return &Memory{} }
@@ -217,16 +210,6 @@ func (m *Memory) Segment(addr uint32) *Segment {
 	return nil
 }
 
-// SegmentByName returns the named segment, or nil.
-func (m *Memory) SegmentByName(name string) *Segment {
-	for _, s := range m.segs {
-		if s.Name == name {
-			return s
-		}
-	}
-	return nil
-}
-
 func permFor(a Access) image.Perm {
 	switch a {
 	case AccessRead:
@@ -254,6 +237,12 @@ func (m *Memory) check(addr uint32, n uint32, access Access, eip uint32) ([]byte
 			Reason: fmt.Sprintf("segment %s is %s", s.Name, s.Perm)}
 	}
 	off := addr - s.Addr
+	if access != AccessFetch {
+		// Fetches report their touches per instruction instead (the
+		// decode cache, or a translation block's creation): a fetch
+		// check here covers only a window's first byte.
+		s.Touch(off, n)
+	}
 	if access == AccessWrite {
 		// The caller is about to mutate the returned slice: record the
 		// touched pages for Restore and, when the segment is executable

@@ -142,6 +142,9 @@ func (c *CPU) RunContext(ctx context.Context) error {
 				// chaos error.
 				return &DeadlineError{EIP: c.EIP, Icount: c.Icount, Err: err}
 			}
+			if c.rec != nil {
+				c.rec.Poll()
+			}
 			next = c.Icount + stride
 		}
 		if err := c.Step(); err != nil {

@@ -97,6 +97,10 @@ type OS struct {
 	DebuggerAttached bool
 	traced           bool
 
+	// stdinRead counts the stdin bytes read(2) has consumed, so a
+	// checkpoint can resume a run with the rest of its input.
+	stdinRead int64
+
 	// Now is returned by time(2). A fixed default keeps runs
 	// deterministic.
 	Now int32
@@ -202,6 +206,7 @@ func (os *OS) SyscallOn(sc SysCPU) error {
 				break
 			}
 		}
+		os.stdinRead += int64(total)
 		if readErr != nil {
 			return fmt.Errorf("emu: read(0): %w", readErr)
 		}

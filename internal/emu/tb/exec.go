@@ -43,20 +43,31 @@ func (e *Engine) ea(op *uop) uint32 {
 // addr-s.Addr <= len(s.Data)-4 (an address below the segment wraps
 // to a huge offset and fails it).
 
-// loadDword reads a little-endian dword from a cached segment; the
+// loadDword reads a little-endian dword from a cached segment,
+// reporting the access to a recorded run's first-touch watch; the
 // caller has bounds-checked off.
 func loadDword(s *emu.Segment, off uint32) uint32 {
+	s.Touch(off, 4)
 	return binary.LittleEndian.Uint32(s.Data[off:])
 }
 
 // writeDword stores a little-endian dword into a cached segment,
-// keeping Restore's dirty-page tracking; the caller has bounds- and
-// permission-checked the access.
+// keeping Restore's dirty-page tracking and the first-touch watch; the
+// caller has bounds- and permission-checked the access.
 func writeDword(s *emu.Segment, off, v uint32) {
-	if s.Tracked() {
-		s.MarkDirty(off, 4)
-	}
+	s.Wrote(off, 4)
 	binary.LittleEndian.PutUint32(s.Data[off:], v)
+}
+
+// loadByte and loadWord are loadDword's narrow forms.
+func loadByte(s *emu.Segment, off uint32) uint32 {
+	s.Touch(off, 1)
+	return uint32(s.Data[off])
+}
+
+func loadWord(s *emu.Segment, off uint32) uint32 {
+	s.Touch(off, 2)
+	return uint32(binary.LittleEndian.Uint16(s.Data[off:]))
 }
 
 // load32 is the out-of-line load path: both caches, then the bus.
@@ -83,10 +94,10 @@ func (e *Engine) load32(addr, pc uint32) (uint32, error) {
 // a dword read was — then the bus.
 func (e *Engine) load8(addr, pc uint32) (uint32, error) {
 	if s := e.rd; s != nil && addr-s.Addr < uint32(len(s.Data)) {
-		return uint32(s.Data[addr-s.Addr]), nil
+		return loadByte(s, addr-s.Addr), nil
 	}
 	if s := e.stk; s != nil && addr-s.Addr < uint32(len(s.Data)) {
-		return uint32(s.Data[addr-s.Addr]), nil
+		return loadByte(s, addr-s.Addr), nil
 	}
 	v, err := e.cpu.Mem.Load8(addr, pc)
 	return uint32(v), err
@@ -94,10 +105,10 @@ func (e *Engine) load8(addr, pc uint32) (uint32, error) {
 
 func (e *Engine) load16(addr, pc uint32) (uint32, error) {
 	if s := e.rd; s != nil && addr-s.Addr <= uint32(len(s.Data))-2 {
-		return uint32(binary.LittleEndian.Uint16(s.Data[addr-s.Addr:])), nil
+		return loadWord(s, addr-s.Addr), nil
 	}
 	if s := e.stk; s != nil && addr-s.Addr <= uint32(len(s.Data))-2 {
-		return uint32(binary.LittleEndian.Uint16(s.Data[addr-s.Addr:])), nil
+		return loadWord(s, addr-s.Addr), nil
 	}
 	v, err := e.cpu.Mem.Load16(addr, pc)
 	return uint32(v), err
@@ -412,10 +423,9 @@ nextBlock:
 			}
 			if s != nil && a-s.Addr < uint32(len(s.Data)) {
 				// Cached segments are writable and never executable, so a
-				// direct byte write only needs the dirty-page bookkeeping.
-				if s.Tracked() {
-					s.MarkDirty(a-s.Addr, 1)
-				}
+				// direct byte write only needs the dirty-page and watch
+				// bookkeeping.
+				s.Wrote(a-s.Addr, 1)
 				s.Data[a-s.Addr] = v
 				break
 			}

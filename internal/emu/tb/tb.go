@@ -182,7 +182,14 @@ func (e *Engine) lookup(pc uint32) (*block, error) {
 	if b, ok := e.blocks[pc]; ok {
 		return b, nil
 	}
-	return e.translate(pc)
+	b, err := e.translate(pc)
+	if err == nil {
+		// Creating a block is its code's fetch, for a recorded run's
+		// first-touch watch. Translated and adopted blocks report the
+		// same span, so the watch does not depend on the catalog.
+		e.cpu.Mem.Touch(b.lo, b.hi-b.lo)
+	}
+	return b, err
 }
 
 // errBudget is execBlock's internal stop marker: the instruction
@@ -236,6 +243,13 @@ func (e *Engine) RunContext(ctx context.Context) error {
 	if err := ctx.Err(); err != nil {
 		return &emu.DeadlineError{EIP: c.EIP, Icount: c.Icount, Err: err}
 	}
+	rec := c.Recording()
+	if rec != nil {
+		// A recorded run reports fetches as blocks are created, so it
+		// must create every block it runs: chained blocks never come
+		// back through the dispatcher.
+		e.flushAll()
+	}
 	next := c.Icount + stride
 	chains := 0
 	for !c.Exited {
@@ -250,6 +264,10 @@ func (e *Engine) RunContext(ctx context.Context) error {
 				// Forced watchdog exhaustion (injected): same shape as a
 				// real deadline trip, marked by the wrapped chaos error.
 				return &emu.DeadlineError{EIP: c.EIP, Icount: c.Icount, Err: err}
+			}
+			if rec != nil {
+				e.materialize()
+				rec.Poll()
 			}
 			next = c.Icount + stride
 			chains = 0

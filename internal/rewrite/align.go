@@ -3,7 +3,6 @@ package rewrite
 import (
 	"fmt"
 
-	"parallax/internal/gadget"
 	"parallax/internal/image"
 	"parallax/internal/x86"
 )
@@ -129,10 +128,4 @@ func findC3Displacement(img *image.Image, target string) (site, retAddr uint32, 
 		}
 	}
 	return 0, 0, false
-}
-
-// GadgetAt re-runs the scanner over an image and returns the gadget
-// starting at addr, if any — used to confirm crafted gadgets landed.
-func GadgetAt(img *image.Image, addr uint32) *gadget.Gadget {
-	return gadget.Scan(img, gadget.ScanConfig{}).At(addr)
 }

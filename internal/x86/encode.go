@@ -31,16 +31,6 @@ func Encode(inst Inst, addr uint32) ([]byte, error) {
 	return e.out, nil
 }
 
-// MustEncode is Encode for statically known-valid instructions; it
-// panics on error and is intended for compiler-internal emission.
-func MustEncode(inst Inst, addr uint32) []byte {
-	b, err := Encode(inst, addr)
-	if err != nil {
-		panic(fmt.Sprintf("x86: MustEncode %v: %v", inst, err))
-	}
-	return b
-}
-
 func (e *encoder) b(v ...byte) { e.out = append(e.out, v...) }
 
 func (e *encoder) imm(v int32, width int) {
