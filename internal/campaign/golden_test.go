@@ -11,6 +11,7 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+	"time"
 
 	"parallax/internal/campaign"
 	"parallax/internal/core"
@@ -32,10 +33,14 @@ func goldenKey(fam gen.Family, seed uint64, workload string) string {
 // goldenConfig is the pinned campaign configuration the goldens were
 // recorded under. Every knob that shapes enumeration or classification
 // is explicit; changing any of them requires re-recording with -update.
+// The wall-clock watchdog is set far above any mutant's run time, as in
+// the differential tests, so only the MaxInst budget can end a run and
+// a slow host (or the race detector) cannot turn a cell into a timeout.
 func goldenConfig() campaign.Config {
 	return campaign.Config{
 		Workers:    4,
 		MaxInst:    2_000_000,
+		Timeout:    60 * time.Second,
 		Stride:     7,
 		MaxMutants: 64,
 	}

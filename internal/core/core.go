@@ -278,6 +278,12 @@ func Protect(m *ir.Module, opts Options) (*Protected, error) {
 	if scan == nil {
 		scan = gadget.Scan
 	}
+	// Code generation and §IV-B2 rewriting do not depend on chain
+	// sizes, so they run once; each pass below links a fresh copy.
+	rewritten, rewriteSites, err := compileRewritten(work, verify, opts)
+	if err != nil {
+		return nil, err
+	}
 	var (
 		img     *image.Image
 		catalog *gadget.Catalog
@@ -286,10 +292,9 @@ func Protect(m *ir.Module, opts Options) (*Protected, error) {
 	)
 	const maxPasses = 10
 	stable := false
-	rewriteSites := 0
 	for pass := 0; pass < maxPasses && !stable; pass++ {
 		var err error
-		img, rewriteSites, err = buildProtectedObject(work, verify, frameWords, opts, cfgs,
+		img, err = buildProtectedObject(rewritten, work, verify, frameWords, opts, cfgs,
 			chainLens, exitIdxs, offsLens, idxLens)
 		if err != nil {
 			return nil, err
@@ -433,7 +438,9 @@ func (p *Protected) GuardedByteMap() map[uint32]bool {
 
 // preferOverlap marks gadgets inside application code (anything except
 // the fallback pool and loader stubs) — the gadgets whose integrity
-// actually protects the program.
+// actually protects the program. The chain compiler asks once per
+// candidate gadget, so each answer is a binary search over the spans,
+// which the linker lays out disjoint.
 func preferOverlap(img *image.Image, verify []string) func(*gadget.Gadget) bool {
 	type span struct{ lo, hi uint32 }
 	verifySet := make(map[string]bool, len(verify))
@@ -448,25 +455,23 @@ func preferOverlap(img *image.Image, verify []string) func(*gadget.Gadget) bool 
 		if verifySet[s.Name] {
 			continue // loader stub, not application code
 		}
-		spans = append(spans, span{s.Addr, s.Addr + s.Size})
-	}
-	return func(g *gadget.Gadget) bool {
-		for _, sp := range spans {
-			if g.Addr >= sp.lo && g.Addr < sp.hi {
-				return true
-			}
+		if s.Size > 0 {
+			spans = append(spans, span{s.Addr, s.Addr + s.Size})
 		}
-		return false
+	}
+	sort.Slice(spans, func(i, j int) bool { return spans[i].lo < spans[j].lo })
+	return func(g *gadget.Gadget) bool {
+		// The first span ending past the address is the only one that
+		// can hold it.
+		i := sort.Search(len(spans), func(i int) bool { return spans[i].hi > g.Addr })
+		return i < len(spans) && spans[i].lo <= g.Addr
 	}
 }
 
-// buildProtectedObject compiles the module, swaps verification
-// functions for loader stubs, adds the gadget pool and chain/frame
-// data, and links.
-func buildProtectedObject(m *ir.Module, verify []string, frameWords map[string]int,
-	opts Options, cfgs map[string]dyngen.Config,
-	chainLens, exitIdxs, offsLens, idxLens map[string]int) (*image.Image, int, error) {
-
+// compileRewritten compiles the module and applies the §IV-B2
+// rewriting rules, returning the object every fixpoint pass links from
+// and the number of rewritten sites.
+func compileRewritten(m *ir.Module, verify []string, opts Options) (*image.Object, int, error) {
 	var obj *image.Object
 	var err error
 	opts.Obs.Stage("codegen", func() {
@@ -502,8 +507,26 @@ func buildProtectedObject(m *ir.Module, verify []string, frameWords map[string]i
 			return nil, 0, err
 		}
 	}
+	return obj, rewriteSites, nil
+}
+
+// buildProtectedObject copies the rewritten object, swaps verification
+// functions for loader stubs, adds the gadget pool and chain/frame
+// data, and links. The copy has its own Funcs and Data slices but
+// shares their *Func and *DataSym values: every step here only
+// replaces, removes or appends slice entries and image.Link only
+// reads, so base stays valid for the next pass.
+func buildProtectedObject(base *image.Object, m *ir.Module, verify []string,
+	frameWords map[string]int, opts Options, cfgs map[string]dyngen.Config,
+	chainLens, exitIdxs, offsLens, idxLens map[string]int) (*image.Image, error) {
+
+	obj := &image.Object{
+		Funcs: append([]*image.Func(nil), base.Funcs...),
+		Data:  append([]*image.DataSym(nil), base.Data...),
+		Entry: base.Entry,
+	}
 	if err := chain.AddPool(obj, opts.PoolCopies); err != nil {
-		return nil, 0, err
+		return nil, err
 	}
 	for _, fn := range verify {
 		f := m.Func(fn)
@@ -525,7 +548,7 @@ func buildProtectedObject(m *ir.Module, verify []string, frameWords map[string]i
 			Checker:      checker,
 		})
 		if err != nil {
-			return nil, 0, err
+			return nil, err
 		}
 		replaceFunc(obj, loader)
 		size := chainLens[fn]
@@ -533,20 +556,21 @@ func buildProtectedObject(m *ir.Module, verify []string, frameWords map[string]i
 			size = 4 // pass-1 placeholder
 		}
 		if err := chain.ReserveData(obj, fn, size, frameWords[fn]); err != nil {
-			return nil, 0, err
+			return nil, err
 		}
 		if err := dyngen.Reserve(obj, cfg, size, offsLens[fn], idxLens[fn]); err != nil {
-			return nil, 0, err
+			return nil, err
 		}
 	}
 	var img *image.Image
+	var err error
 	opts.Obs.Stage("layout", func() {
 		img, err = image.Link(obj, opts.Layout)
 	})
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
-	return img, rewriteSites, nil
+	return img, nil
 }
 
 func replaceFunc(obj *image.Object, nf *image.Func) {

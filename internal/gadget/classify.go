@@ -35,7 +35,17 @@ type sym struct {
 
 var unknownSym = &sym{kind: symUnknown}
 
-func initSym(r x86.Reg) *sym { return &sym{kind: symInit, reg: r} }
+// initSyms holds one shared Init(r) per register. Sharing is exact:
+// no code mutates a sym after building it, and syms are compared by
+// kind and fields, never by pointer.
+var initSyms = func() (s [x86.NumRegs]*sym) {
+	for r := range s {
+		s[r] = &sym{kind: symInit, reg: x86.Reg(r)}
+	}
+	return s
+}()
+
+func initSym(r x86.Reg) *sym { return initSyms[r] }
 func constSym(c uint32) *sym { return &sym{kind: symConst, c: c} }
 func stackSym(idx int) *sym  { return &sym{kind: symStack, idx: idx} }
 func loadSym(addr *sym) *sym { return &sym{kind: symLoad, a: addr} }

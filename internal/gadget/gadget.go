@@ -235,16 +235,6 @@ func (c *Catalog) Find(k Kind, dst, src x86.Reg) []*Gadget {
 	return out
 }
 
-// At returns the gadget starting at addr, or nil.
-func (c *Catalog) At(addr uint32) *Gadget {
-	for _, g := range c.Gadgets {
-		if g.Addr == addr {
-			return g
-		}
-	}
-	return nil
-}
-
 // CoveredBytes returns the union size of all gadget byte ranges within
 // [lo, hi), plus a bitmap of covered offsets relative to lo.
 func (c *Catalog) CoveredBytes(lo, hi uint32) (int, []bool) {

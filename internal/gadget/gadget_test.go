@@ -9,6 +9,16 @@ import (
 	"parallax/internal/x86"
 )
 
+// firstGadget returns the gadget ScanBytes finds at the first byte of
+// code, or nil.
+func firstGadget(code []byte, base uint32) *Gadget {
+	gs := ScanBytes(code, base, ScanConfig{})
+	if len(gs) > 0 && gs[0].Addr == base {
+		return gs[0]
+	}
+	return nil
+}
+
 func TestClassifyGolden(t *testing.T) {
 	tests := []struct {
 		name   string
@@ -52,9 +62,9 @@ func TestClassifyGolden(t *testing.T) {
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			g := scanAt(tt.bytes, 0x1000, 0, ScanConfig{}.withDefaults())
+			g := firstGadget(tt.bytes, 0x1000)
 			if g == nil {
-				t.Fatalf("scanAt(% x) found no gadget", tt.bytes)
+				t.Fatalf("firstGadget(% x) found no gadget", tt.bytes)
 			}
 			if g.Kind != tt.kind {
 				t.Fatalf("kind = %v, want %v (%v)", g.Kind, tt.kind, g)
@@ -91,15 +101,15 @@ func TestClassifyRejectsControlFlow(t *testing.T) {
 		{0x74, 0x00, 0xC3},                   // je; ret
 	}
 	for _, b := range seqs {
-		if g := scanAt(b, 0, 0, ScanConfig{}.withDefaults()); g != nil {
-			t.Errorf("scanAt(% x) = %v, want nil", b, g)
+		if g := firstGadget(b, 0); g != nil {
+			t.Errorf("firstGadget(% x) = %v, want nil", b, g)
 		}
 	}
 }
 
 func TestClassifyPopChainAndClobbers(t *testing.T) {
 	// pop ecx; pop eax; ret: primary is eax (slot 1), ecx clobbered.
-	g := scanAt([]byte{0x59, 0x58, 0xC3}, 0, 0, ScanConfig{}.withDefaults())
+	g := firstGadget([]byte{0x59, 0x58, 0xC3}, 0)
 	if g == nil {
 		t.Fatal("no gadget")
 	}
@@ -176,8 +186,15 @@ func TestCatalogQueries(t *testing.T) {
 	if len(stores) != 1 || stores[0].Dst != x86.EAX || stores[0].Src != x86.ECX {
 		t.Errorf("store gadgets = %v", stores)
 	}
-	if g := cat.At(0x2002); g == nil || g.Kind != KindPopReg {
-		t.Errorf("At(0x2002) = %v", g)
+	var at *Gadget
+	for _, g := range cat.Gadgets {
+		if g.Addr == 0x2002 {
+			at = g
+			break
+		}
+	}
+	if at == nil || at.Kind != KindPopReg {
+		t.Errorf("gadget at 0x2002 = %v", at)
 	}
 	n, cover := cat.CoveredBytes(0x2000, 0x2000+uint32(len(code)))
 	if n == 0 || len(cover) != len(code) {
@@ -398,9 +415,9 @@ func TestClassifyExtendedKinds(t *testing.T) {
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			g := scanAt(tt.bytes, 0x1000, 0, ScanConfig{}.withDefaults())
+			g := firstGadget(tt.bytes, 0x1000)
 			if g == nil {
-				t.Fatalf("scanAt(% x) found no gadget", tt.bytes)
+				t.Fatalf("firstGadget(% x) found no gadget", tt.bytes)
 			}
 			if g.Kind != tt.kind {
 				t.Fatalf("kind = %v, want %v (%v)", g.Kind, tt.kind, g)

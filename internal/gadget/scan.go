@@ -29,70 +29,109 @@ func (c ScanConfig) withDefaults() ScanConfig {
 	return c
 }
 
+// Decode-table entry kinds: what the instruction at an offset means to
+// a forward walk. An offset that does not decode has length 0, which
+// ends every walk before its kind is read.
+const (
+	stepBody  uint8 = iota // not a return
+	stepRet                // a return this config accepts: ends a candidate
+	stepSkipR              // retf under SkipFar: ends the walk, no gadget
+)
+
+// decodeTable decodes every offset of code exactly once and records the
+// instruction's length and step kind. Decoding is a pure function of
+// the bytes from the offset to the end of code and of the address, so
+// every walk that crosses an offset sees the same instruction there.
+func decodeTable(code []byte, base uint32, cfg ScanConfig) (lens, kinds []uint8) {
+	lens = make([]uint8, len(code))
+	kinds = make([]uint8, len(code))
+	for off := range code {
+		inst, err := x86.Decode(code[off:], base+uint32(off))
+		if err != nil {
+			continue
+		}
+		lens[off] = uint8(inst.Len)
+		switch {
+		case inst.Op == x86.RET, inst.Op == x86.RETF && !cfg.SkipFar:
+			kinds[off] = stepRet
+		case inst.Op == x86.RETF:
+			kinds[off] = stepSkipR
+		}
+	}
+	return lens, kinds
+}
+
 // ScanBytes finds every gadget in code (loaded at base): for each byte
-// offset, decode forward; a sequence of at most MaxInsts instructions
-// ending in ret/retf is a candidate, which the classifier then types.
+// offset, walk forward; a sequence of at most MaxInsts instructions
+// within MaxBytes ending in ret/retf is a candidate, which the
+// classifier then types. Each offset is decoded once into a table that
+// the walks and the aligned sweep share; only candidates are decoded
+// in full.
 func ScanBytes(code []byte, base uint32, cfg ScanConfig) []*Gadget {
 	cfg = cfg.withDefaults()
+	lens, kinds := decodeTable(code, base, cfg)
 
 	// Mark aligned instruction starts from a linear sweep so gadgets
 	// can report whether they hide inside the instruction stream.
 	aligned := make([]bool, len(code))
 	for off := 0; off < len(code); {
 		aligned[off] = true
-		inst, err := x86.Decode(code[off:], base+uint32(off))
-		if err != nil {
+		if lens[off] == 0 {
 			off++
 			continue
 		}
-		off += inst.Len
+		off += int(lens[off])
 	}
 
 	var out []*Gadget
-	for off := 0; off < len(code); off++ {
-		g := scanAt(code, base, off, cfg)
-		if g == nil {
+	var buf []x86.Inst
+	for off := range code {
+		end, ok := walk(lens, kinds, off, cfg)
+		if !ok {
 			continue
 		}
+		// Candidates are rare, so only they are decoded in full, into a
+		// reused buffer that a kept gadget copies out of. Every offset
+		// of the walk decoded when the table was built.
+		buf = buf[:0]
+		for pos := off; pos < end; {
+			inst, _ := x86.Decode(code[pos:], base+uint32(pos))
+			buf = append(buf, inst)
+			pos += inst.Len
+		}
+		g := Gadget{Addr: base + uint32(off), Len: end - off, Insts: buf}
+		if !classify(&g) {
+			continue
+		}
+		g.Insts = append([]x86.Inst(nil), buf...)
 		g.Aligned = aligned[off]
-		out = append(out, g)
+		out = append(out, &g)
 	}
 	return out
 }
 
-// scanAt decodes a gadget candidate starting at offset off.
-func scanAt(code []byte, base uint32, off int, cfg ScanConfig) *Gadget {
-	var insts []x86.Inst
+// walk follows the decode table forward from off under cfg's limits
+// and reports the end offset of the candidate starting at off, or false
+// when no accepted return ends the walk in bounds.
+func walk(lens, kinds []uint8, off int, cfg ScanConfig) (end int, ok bool) {
 	pos := off
-	for len(insts) < cfg.MaxInsts {
-		if pos-off >= cfg.MaxBytes || pos >= len(code) {
-			return nil
+	for n := 0; n < cfg.MaxInsts; n++ {
+		if pos-off >= cfg.MaxBytes || pos >= len(lens) {
+			return 0, false
 		}
-		inst, err := x86.Decode(code[pos:], base+uint32(pos))
-		if err != nil {
-			return nil
+		l := int(lens[pos])
+		if l == 0 || pos-off+l > cfg.MaxBytes {
+			return 0, false
 		}
-		if pos-off+inst.Len > cfg.MaxBytes {
-			return nil
+		switch kinds[pos] {
+		case stepRet:
+			return pos + l, true
+		case stepSkipR:
+			return 0, false
 		}
-		insts = append(insts, inst)
-		pos += inst.Len
-		if inst.Op == x86.RET || inst.Op == x86.RETF {
-			if inst.Op == x86.RETF && cfg.SkipFar {
-				return nil
-			}
-			g := &Gadget{
-				Addr:  base + uint32(off),
-				Len:   pos - off,
-				Insts: insts,
-			}
-			if !classify(g) {
-				return nil
-			}
-			return g
-		}
+		pos += l
 	}
-	return nil
+	return 0, false
 }
 
 // Scan finds and indexes all gadgets in an image's executable sections.
